@@ -86,7 +86,6 @@ const CONFIG_FIELDS: &[&str] = &[
     "schema",
     "mode",
     "arrival",
-    "batched",
     "sessions",
     "model_pool",
     "dim",
@@ -306,7 +305,6 @@ mod tests {
             doc.get("chunks_per_session").and_then(Json::as_f64),
             Some(20.0)
         );
-        assert_eq!(doc.get("batched").and_then(Json::as_bool), Some(true));
         assert_eq!(
             doc.get("mode").and_then(Json::as_str),
             Some("in-process"),

@@ -122,7 +122,6 @@ fn stats_json(stats: &WireStats, sessions: &WireSessionStats) -> Json {
         ("frames_discarded", Json::num_u64(stats.frames_discarded)),
         ("events_out", Json::num_u64(stats.events_out)),
         ("alarms_out", Json::num_u64(stats.alarms_out)),
-        ("windows_batched", Json::num_u64(stats.windows_batched)),
         ("max_drain_micros", Json::num_u64(stats.max_drain_micros)),
         (
             "recent_frames_per_sec",
@@ -453,8 +452,8 @@ fn print_stats(stats: &WireStats) {
         stats.frames_discarded
     );
     println!(
-        "output          {} events, {} alarms, {} windows batched",
-        stats.events_out, stats.alarms_out, stats.windows_batched
+        "output          {} events, {} alarms",
+        stats.events_out, stats.alarms_out
     );
     println!(
         "throughput      {:.0} frames/s recent, {} us worst drain",

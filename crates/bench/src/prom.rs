@@ -125,12 +125,6 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
     exp.family("alarms_total", "counter", "Seizure alarms raised.");
     exp.sample("alarms_total", &[], stats.alarms_out as f64);
     exp.family(
-        "windows_batched_total",
-        "counter",
-        "Windows classified via the batched path.",
-    );
-    exp.sample("windows_batched_total", &[], stats.windows_batched as f64);
-    exp.family(
         "max_drain_micros",
         "gauge",
         "Worst-case wall time of one drain batch, microseconds.",

@@ -33,7 +33,6 @@ fn check_schema(doc: &Json) {
         "frames_refused",
         "events_out",
         "alarms_out",
-        "windows_batched",
         "max_drain_micros",
         "recent_frames_per_sec",
     ] {
@@ -43,9 +42,12 @@ fn check_schema(doc: &Json) {
             .unwrap_or_else(|| panic!("{key} is a number"));
         assert!(value >= 0.0, "{key} is non-negative");
     }
-    for key in ["batched", "telemetry_enabled"] {
-        assert!(doc.get(key).and_then(Json::as_bool).is_some(), "{key}");
-    }
+    assert!(
+        doc.get("telemetry_enabled")
+            .and_then(Json::as_bool)
+            .is_some(),
+        "telemetry_enabled"
+    );
 
     let stages = doc
         .get("stages")

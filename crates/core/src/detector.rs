@@ -1,7 +1,7 @@
 //! The complete streaming Laelaps detector: samples in, alarms out.
 
 use crate::am::{AssociativeMemory, Classification};
-use crate::encoder::{Encoder, WindowVector};
+use crate::encoder::Encoder;
 use crate::error::Result;
 use crate::model::PatientModel;
 use crate::postprocess::{Alarm, Postprocessor};
@@ -93,13 +93,6 @@ impl Detector {
         self.encoder.electrodes()
     }
 
-    /// The associative memory currently classifying windows (replaced by
-    /// [`Detector::hot_swap`]). Batch engines snapshot these prototypes to
-    /// classify many [`Detector::encode_frame`] windows in one pass.
-    pub fn am(&self) -> &AssociativeMemory {
-        &self.am
-    }
-
     /// Overrides the Δ threshold `tr` (used during tuning sweeps).
     pub fn set_tr(&mut self, tr: f64) {
         self.post.set_tr(tr);
@@ -154,54 +147,20 @@ impl Detector {
     /// Returns [`crate::LaelapsError::ElectrodeMismatch`] if the frame
     /// width differs from the model's electrode count.
     pub fn push_frame(&mut self, frame: &[f32]) -> Result<Option<DetectorEvent>> {
-        let Some(window) = self.encode_frame(frame)? else {
+        let Some(window) = self.encoder.push_frame(frame)? else {
             return Ok(None);
         };
         let classification = self.am.classify(&window.vector);
-        Ok(Some(
-            self.complete_window(window.end_sample, classification),
-        ))
-    }
-
-    /// The encode half of [`Detector::push_frame`]: advances the LBP/HD
-    /// pipeline by one frame and returns the window vector `H` when one
-    /// completes, **without** classifying or postprocessing it.
-    ///
-    /// This is the split entry point batch engines use: encode a backlog
-    /// of frames, classify every resulting window in one bit-packed pass
-    /// (against [`Detector::am`]), then feed each result back through
-    /// [`Detector::complete_window`] in stream order. The composition is
-    /// bit-exact with calling [`Detector::push_frame`] frame by frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::LaelapsError::ElectrodeMismatch`] if the frame
-    /// width differs from the model's electrode count.
-    pub fn encode_frame(&mut self, frame: &[f32]) -> Result<Option<WindowVector>> {
-        self.encoder.push_frame(frame)
-    }
-
-    /// The decision half of [`Detector::push_frame`]: runs the
-    /// postprocessor on a window's classification and emits the event.
-    ///
-    /// Windows must be completed in the order [`Detector::encode_frame`]
-    /// produced them — the postprocessor's sliding vote and the event
-    /// index are stream-positional.
-    pub fn complete_window(
-        &mut self,
-        end_sample: u64,
-        classification: Classification,
-    ) -> DetectorEvent {
         let alarm = self.post.push(&classification);
         let event = DetectorEvent {
             index: self.events,
-            end_sample,
-            time_secs: end_sample as f64 / self.config.sample_rate as f64,
+            end_sample: window.end_sample,
+            time_secs: window.end_sample as f64 / self.config.sample_rate as f64,
             classification,
             alarm,
         };
         self.events += 1;
-        event
+        Ok(Some(event))
     }
 
     /// Runs the detector over a whole multichannel signal, returning every
@@ -358,28 +317,6 @@ mod tests {
         let mut det = Detector::new(&model).unwrap();
         assert!(det.push_frame(&[0.0; 3]).is_err());
         assert_eq!(det.electrodes(), 4);
-    }
-
-    #[test]
-    fn split_pipeline_matches_push_frame() {
-        // encode_frame + am().classify + complete_window must be
-        // bit-exact with push_frame — the contract the batched serving
-        // path is built on.
-        let (model, signal) = trained_model(31);
-        let mut fused = Detector::new(&model).unwrap();
-        let mut split = Detector::new(&model).unwrap();
-        let mut frame = vec![0.0f32; signal.len()];
-        for t in 0..signal[0].len() {
-            for (j, ch) in signal.iter().enumerate() {
-                frame[j] = ch[t];
-            }
-            let a = fused.push_frame(&frame).unwrap();
-            let b = split.encode_frame(&frame).unwrap().map(|window| {
-                let classification = split.am().classify(&window.vector);
-                split.complete_window(window.end_sample, classification)
-            });
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

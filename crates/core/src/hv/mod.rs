@@ -27,10 +27,8 @@
 
 mod accum;
 mod item_memory;
-pub mod pack;
 mod vector;
 
 pub use accum::{BitSliceAccumulator, DenseAccumulator, TiePolicy};
 pub use item_memory::ItemMemory;
-pub use pack::{limbs_for, pack_words, unpack_words, words_for, WORD_BITS};
-pub use vector::{Hypervector, LIMB_BITS};
+pub use vector::{limbs_for, Hypervector, LIMB_BITS};

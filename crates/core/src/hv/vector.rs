@@ -15,6 +15,11 @@ use rand::Rng;
 /// Number of bits per storage limb.
 pub const LIMB_BITS: usize = 64;
 
+/// Number of u64 limbs storing a `dim`-bit vector.
+pub fn limbs_for(dim: usize) -> usize {
+    dim.div_ceil(LIMB_BITS)
+}
+
 /// A binary hypervector of fixed dimension, bit-packed into `u64` limbs.
 ///
 /// Component `i` lives at bit `i % 64` of limb `i / 64`. Any padding bits in
@@ -45,7 +50,7 @@ impl Hypervector {
     /// Panics if `dim == 0`.
     pub fn zero(dim: usize) -> Self {
         assert!(dim > 0, "hypervector dimension must be nonzero");
-        let n = dim.div_ceil(LIMB_BITS);
+        let n = limbs_for(dim);
         Hypervector {
             limbs: vec![0u64; n].into_boxed_slice(),
             dim,
@@ -102,7 +107,7 @@ impl Hypervector {
     /// `dim.div_ceil(64)`, or any padding bit above `dim` is set (a sign
     /// of corrupted input).
     pub fn from_limbs(dim: usize, limbs: Vec<u64>) -> Option<Self> {
-        if dim == 0 || limbs.len() != dim.div_ceil(LIMB_BITS) {
+        if dim == 0 || limbs.len() != limbs_for(dim) {
             return None;
         }
         let rem = dim % LIMB_BITS;
@@ -400,6 +405,13 @@ mod tests {
     fn debug_is_nonempty() {
         let v = Hypervector::zero(64);
         assert!(!format!("{v:?}").is_empty());
+    }
+
+    #[test]
+    fn limbs_for_rounds_up() {
+        assert_eq!(limbs_for(64), 1);
+        assert_eq!(limbs_for(65), 2);
+        assert_eq!(limbs_for(1000), 16);
     }
 
     #[test]

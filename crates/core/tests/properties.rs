@@ -1,8 +1,7 @@
 //! Property-based tests for the HD-computing and LBP invariants.
 
 use laelaps_core::hv::{
-    limbs_for, pack_words, unpack_words, words_for, BitSliceAccumulator, DenseAccumulator,
-    Hypervector, ItemMemory, TiePolicy, LIMB_BITS,
+    limbs_for, BitSliceAccumulator, DenseAccumulator, Hypervector, ItemMemory, TiePolicy, LIMB_BITS,
 };
 use laelaps_core::lbp::{lbp_codes, lbp_histogram, LbpExtractor};
 use proptest::prelude::*;
@@ -17,7 +16,7 @@ fn arb_dim() -> impl Strategy<Value = usize> {
 }
 
 /// Dimensions that stress the padding/masking branches: everything that
-/// is *not* a multiple of the word or limb size, plus the aligned cases
+/// is *not* a multiple of the limb size, plus the aligned cases
 /// as controls.
 fn arb_ragged_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
@@ -224,41 +223,6 @@ proptest! {
             limbs[last] |= 1u64 << bad;
             prop_assert!(Hypervector::from_limbs(dim, limbs).is_none());
         }
-    }
-
-    #[test]
-    fn word_pack_roundtrips_and_masks(dim in arb_ragged_dim(), seed in any::<u64>()) {
-        // u32-word view: exact round-trip, correct length, zero padding
-        // bits in the packed form, popcount preserved.
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let v = Hypervector::random(dim, &mut rng);
-        let words = pack_words(&v);
-        prop_assert_eq!(words.len(), words_for(dim));
-        prop_assert_eq!(
-            words.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
-            v.count_ones()
-        );
-        let rem = dim % 32;
-        if rem != 0 {
-            let tail = words[words.len() - 1];
-            prop_assert_eq!(tail & !((1u32 << rem) - 1), 0);
-        }
-        prop_assert_eq!(unpack_words(&words, dim), v);
-    }
-
-    #[test]
-    fn unpack_tolerates_dirty_padding(dim in arb_ragged_dim(), seed in any::<u64>()) {
-        // A device buffer with garbage above `dim` must unpack to the
-        // same vector as a clean one (only low `dim` bits are read).
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let v = Hypervector::random(dim, &mut rng);
-        let mut words = pack_words(&v);
-        let rem = dim % 32;
-        if rem != 0 {
-            let last = words.len() - 1;
-            words[last] |= !((1u32 << rem) - 1);
-        }
-        prop_assert_eq!(unpack_words(&words, dim), v);
     }
 
     #[test]

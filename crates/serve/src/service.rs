@@ -12,9 +12,8 @@ use laelaps_check::thread;
 
 use laelaps_core::{Detector, DetectorEvent, PatientModel};
 use laelaps_eval::parallel::{default_threads, ShardedPool};
-use laelaps_telemetry::{Stage, TelemetryConfig, TraceConfig, TraceHandle, TraceSnapshot};
+use laelaps_telemetry::{TelemetryConfig, TraceConfig, TraceHandle, TraceSnapshot};
 
-use crate::batch::{BatchConfig, BatchRunner};
 use crate::error::Result;
 use crate::health::SessionHealthSample;
 use crate::health::{HealthConfig, HealthInput, HealthSnapshot, HealthState, HealthTransition};
@@ -82,13 +81,6 @@ pub struct ServeConfig {
     /// of 256 frames (0.5 s at 512 Hz) the default buffers ~32 s of
     /// signal before backpressure.
     pub ring_chunks: usize,
-    /// Cross-session batched classification: when set, each shard worker
-    /// drains its sessions' backlogs in a three-phase pass (encode →
-    /// one bit-packed classify sweep → scatter) using the configured
-    /// [`laelaps_batch::ClassifyBackend`] — bit-exact with the per-frame
-    /// path, including hot-swap boundaries. `None` (the default) keeps
-    /// the per-frame path.
-    pub batch: Option<BatchConfig>,
     /// Stage timing and rate metering (enabled by default — recording is
     /// allocation-free and lock-free). [`TelemetryConfig::disabled`]
     /// strips the hot path down to a handful of untimed counters: no
@@ -127,7 +119,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: default_threads().clamp(1, 16),
             ring_chunks: 64,
-            batch: None,
             telemetry: TelemetryConfig::default(),
             trace: TraceConfig::default(),
             health: HealthConfig::default(),
@@ -206,8 +197,6 @@ struct ServiceInner {
     ring_chunks: usize,
     /// One progress signal per shard (same indexing as `shards`).
     progress: Vec<Arc<Progress>>,
-    /// Batched-classification state; `None` runs the per-frame path.
-    batch: Option<BatchRunner>,
     /// Stage histograms + frame-rate meter, shared with every session.
     telemetry: Arc<ServiceTelemetry>,
     /// Health evaluator state (heartbeats, series, rule verdicts);
@@ -237,10 +226,14 @@ impl ServiceInner {
             let guard = self.shards[shard].lock().expect("shard lock poisoned");
             guard.clone()
         };
-        let (worked, any_done) = match &self.batch {
-            Some(runner) => self.drain_sessions_batched(shard, runner, &sessions),
-            None => self.drain_sessions_per_frame(&sessions),
-        };
+        // Each session runs encode → classify → postprocess frame by
+        // frame inside its own `SessionCore::drain`.
+        let mut worked = false;
+        let mut any_done = false;
+        for session in &sessions {
+            worked |= session.drain(&self.bus);
+            any_done |= session.done.load(Ordering::Acquire);
+        }
         if any_done {
             // Lock order retired → shard, same as stats(), so a session is
             // always either in its shard list or in the retired totals —
@@ -269,60 +262,6 @@ impl ServiceInner {
             }
         }
         worked
-    }
-
-    /// The per-frame drain: each session runs encode → classify →
-    /// postprocess frame by frame inside its own [`SessionCore::drain`].
-    fn drain_sessions_per_frame(&self, sessions: &[Arc<SessionCore>]) -> (bool, bool) {
-        let mut worked = false;
-        let mut any_done = false;
-        for session in sessions {
-            worked |= session.drain(&self.bus);
-            any_done |= session.done.load(Ordering::Acquire);
-        }
-        (worked, any_done)
-    }
-
-    /// The batched drain (see [`crate::batch`]): encode every session's
-    /// backlog into the shard plan, classify the whole plan in one
-    /// backend sweep, then scatter results back in stream order.
-    fn drain_sessions_batched(
-        &self,
-        shard: usize,
-        runner: &BatchRunner,
-        sessions: &[Arc<SessionCore>],
-    ) -> (bool, bool) {
-        // The plan is per shard and only its worker locks it; held for
-        // the whole pass so the three phases see one consistent arena.
-        let mut plan = runner.plans[shard].lock().expect("batch plan poisoned");
-        plan.clear();
-        let pendings: Vec<_> = sessions
-            .iter()
-            .map(|session| session.encode_backlog(&mut plan))
-            .collect();
-        let queries = plan.total_queries() as u64;
-        // Trace the one classify sweep only when a traced chunk is in
-        // the pass (gating keeps tracing-off at zero clock reads).
-        let any_traced = pendings.iter().any(|p| !p.traced.is_empty());
-        let mut classify_span = None;
-        if queries > 0 {
-            let trace_start = any_traced.then(|| self.telemetry.tracer.now_micros());
-            let timer = self.telemetry.stages.timer(Stage::Classify);
-            plan.classify(runner.backend.as_ref());
-            timer.commit();
-            if let Some(start) = trace_start {
-                let dur = self.telemetry.tracer.now_micros().saturating_sub(start);
-                classify_span = Some((start, dur));
-            }
-            runner.record(shard, queries);
-        }
-        let mut worked = false;
-        let mut any_done = false;
-        for (session, pending) in sessions.iter().zip(pendings) {
-            worked |= session.scatter_batch(pending, &plan, &self.bus, classify_span);
-            any_done |= session.done.load(Ordering::Acquire);
-        }
-        (worked, any_done)
     }
 
     /// The shard with the fewest registered sessions (ties go to the
@@ -538,10 +477,6 @@ impl DetectionService {
             next_id: AtomicU64::new(0),
             ring_chunks: config.ring_chunks.max(1),
             progress: (0..workers).map(|_| Arc::new(Progress::new())).collect(),
-            batch: config
-                .batch
-                .as_ref()
-                .map(|batch| BatchRunner::new(batch, workers)),
             telemetry: Arc::new(ServiceTelemetry::new(
                 &config.telemetry,
                 &config.trace,
@@ -597,7 +532,6 @@ impl DetectionService {
             config: model.config().clone(),
             ring_depth: tx.depth_gauge(),
             worker: Mutex::new(WorkerState {
-                am: Arc::new(detector.am().clone()),
                 detector,
                 rx,
                 failed: None,
@@ -782,7 +716,8 @@ impl DetectionService {
     /// [`DetectionService::swap_patient_model`] with an explicit
     /// propagation origin (and the feedback's trace), so the adaptation
     /// engine can charge the whole feedback→swap span to
-    /// [`Stage::AdaptPropagate`] and keep the causal trace intact.
+    /// [`laelaps_telemetry::Stage::AdaptPropagate`] and keep the causal
+    /// trace intact.
     pub(crate) fn swap_patient_model_from(
         &self,
         patient: &str,
@@ -890,7 +825,7 @@ impl DetectionService {
     }
 
     /// Test-only hook: wedges (or un-wedges) **one session**, not its
-    /// shard. While wedged, both drain paths skip this session — its
+    /// shard. While wedged, the drain skips this session — its
     /// frames stay queued (zero loss) while the shard keeps draining
     /// its other sessions and heart-beating, so only the session-level
     /// stall rule can fire, never the shard watchdog. Not part of the
@@ -931,9 +866,6 @@ impl DetectionService {
         let mut stats = ServiceStats::from_entries(entries, &retired);
         stats.telemetry = self.inner.telemetry.snapshot();
         stats.telemetry.shards = shard_gauges;
-        if let Some(batch) = &self.inner.batch {
-            stats.telemetry.batching = batch.stats();
-        }
         stats
     }
 }

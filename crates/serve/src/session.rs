@@ -10,7 +10,6 @@ use laelaps_core::{Detector, DetectorEvent, LaelapsConfig, PatientModel};
 use laelaps_eval::parallel::PoolWaker;
 use laelaps_telemetry::{PinReason, SpanContext, Stage, TraceHandle, TraceId};
 
-use crate::batch::{BatchPlan, PendingItem, SessionPending};
 use crate::ring::{Consumer, DepthGauge, Full, Producer};
 use crate::service::{AlarmRecord, Progress, ServiceEvent};
 use crate::stats::{ServiceTelemetry, SessionCounters, SessionStats};
@@ -111,11 +110,6 @@ pub(crate) struct WorkerState {
     pub detector: Detector,
     pub rx: Consumer<Chunk>,
     pub failed: Option<String>,
-    /// Shared snapshot of `detector.am()`, refreshed by
-    /// [`SessionCore::apply_swap`]; lets the batched encode phase tag
-    /// runs with an `Arc` clone instead of copying both prototypes on
-    /// every drain pass.
-    pub am: Arc<laelaps_core::AssociativeMemory>,
 }
 
 /// Shared state of one session (handle side + worker side).
@@ -147,7 +141,7 @@ pub(crate) struct SessionCore {
     /// the shard then retires the session.
     pub done: AtomicBool,
     /// Debug-only wedge ([`crate::DetectionService::debug_wedge_session`]):
-    /// while set, both drain paths return without touching this
+    /// while set, the drain returns without touching this
     /// session's ring — frames stay queued (zero loss), the shard keeps
     /// serving its other sessions and heart-beating, so only the
     /// *session*-level stall rule can fire.
@@ -254,72 +248,44 @@ impl SessionCore {
         self.pending_swap.is_pending()
     }
 
-    /// Takes the staged swap if its barrier has been reached. Both drain
-    /// paths poll this at chunk boundaries, so a swap lands at the same
-    /// stream position whether the pass is per-frame or batched.
-    fn take_due_swap(&self, processed: u64) -> Option<SwapRequest> {
-        self.pending_swap.take_due(processed)
-    }
-
-    /// Applies a staged swap if its barrier has been reached. Returns
-    /// `Err(reason)` if the (pre-validated) swap still failed, `Ok(true)`
-    /// if a swap was applied.
+    /// Applies a staged swap if its barrier has been reached, recording
+    /// the ordered marker at stream position `processed`. Returns
+    /// `Err(reason)` if the (pre-validated) swap still failed.
     fn try_apply_swap(
         &self,
         detector: &mut Detector,
-        am_snapshot: &mut Arc<laelaps_core::AssociativeMemory>,
         processed: u64,
         out: &mut Vec<SessionOutput>,
-    ) -> Result<bool, String> {
-        let Some(request) = self.take_due_swap(processed) else {
-            return Ok(false);
-        };
-        match self.apply_swap(detector, am_snapshot, &request, processed, out) {
-            Ok(()) => Ok(true),
-            Err(reason) => Err(reason),
-        }
-    }
-
-    /// Hot-swaps the request's model into `detector` at stream position
-    /// `at_frame`, recording the ordered marker and refreshing the
-    /// worker's shared prototype snapshot.
-    fn apply_swap(
-        &self,
-        detector: &mut Detector,
-        am_snapshot: &mut Arc<laelaps_core::AssociativeMemory>,
-        request: &SwapRequest,
-        at_frame: u64,
-        out: &mut Vec<SessionOutput>,
     ) -> Result<(), String> {
+        let Some(request) = self.pending_swap.take_due(processed) else {
+            return Ok(());
+        };
         let model = &request.model;
-        match detector.hot_swap(model) {
-            Ok(()) => {
-                *am_snapshot = Arc::new(model.am().clone());
-                let generation = model.generation();
-                self.generation.store(generation, Ordering::Release);
-                self.telemetry
-                    .stages
-                    .record_since(Stage::AdaptPropagate, request.origin);
-                if let Some(t) = request.trace {
-                    let tracer = &self.telemetry.tracer;
-                    let now = tracer.now_micros();
-                    tracer.record(
-                        t.id,
-                        Stage::AdaptPropagate,
-                        self.span_ctx(),
-                        t.start_us,
-                        now.saturating_sub(t.start_us),
-                    );
-                    tracer.pin(t.id, PinReason::ModelSwap);
-                }
-                out.push(SessionOutput::ModelSwapped {
-                    generation,
-                    at_frame,
-                });
-                Ok(())
-            }
-            Err(e) => Err(format!("model hot-swap failed: {e}")),
+        detector
+            .hot_swap(model)
+            .map_err(|e| format!("model hot-swap failed: {e}"))?;
+        let generation = model.generation();
+        self.generation.store(generation, Ordering::Release);
+        self.telemetry
+            .stages
+            .record_since(Stage::AdaptPropagate, request.origin);
+        if let Some(t) = request.trace {
+            let tracer = &self.telemetry.tracer;
+            let now = tracer.now_micros();
+            tracer.record(
+                t.id,
+                Stage::AdaptPropagate,
+                self.span_ctx(),
+                t.start_us,
+                now.saturating_sub(t.start_us),
+            );
+            tracer.pin(t.id, PinReason::ModelSwap);
         }
+        out.push(SessionOutput::ModelSwapped {
+            generation,
+            at_frame: processed,
+        });
+        Ok(())
     }
 
     /// Drains queued chunks through the detector. Returns `true` if any
@@ -348,9 +314,7 @@ impl SessionCore {
         let mut aborted_tail: u64 = 0;
         let newly_failed = if state.failed.is_none() {
             let electrodes = self.electrodes;
-            let WorkerState {
-                detector, rx, am, ..
-            } = &mut *state;
+            let WorkerState { detector, rx, .. } = &mut *state;
             // Panics inside the detector are contained *before* they can
             // unwind through (and poison) the worker mutex or kill the
             // shard thread; they fail this session only.
@@ -364,14 +328,10 @@ impl SessionCore {
                         // A staged hot-swap takes effect here, between
                         // chunks: frames already drained stay with the
                         // old model, everything after runs the new one.
-                        match self.try_apply_swap(
-                            detector,
-                            am,
-                            base_processed + frames_done,
-                            &mut out,
-                        ) {
-                            Ok(_) => {}
-                            Err(reason) => return Some(reason),
+                        if let Err(reason) =
+                            self.try_apply_swap(detector, base_processed + frames_done, &mut out)
+                        {
+                            return Some(reason);
                         }
                         let Some(chunk) = rx.pop() else { break };
                         self.telemetry
@@ -461,7 +421,7 @@ impl SessionCore {
         worked
     }
 
-    /// Failure cleanup shared by both drain paths: surfaces the failure
+    /// Failure cleanup after a detector error or panic: surfaces the failure
     /// to producers, drops any staged swap (a failed session can never
     /// apply it), and discards everything still queued (and whatever
     /// arrives until the producer observes the failure) so a caller
@@ -530,7 +490,7 @@ impl SessionCore {
 
     /// Publishes one pass's ordered outputs: bumps event/alarm counters,
     /// fans alarms and swap markers onto the service bus, and appends
-    /// everything to the session outbox. Shared by both drain paths.
+    /// everything to the session outbox.
     fn publish_outputs(&self, out: Vec<SessionOutput>, bus: &Mutex<VecDeque<ServiceEvent>>) {
         if out.is_empty() {
             return;
@@ -581,268 +541,6 @@ impl SessionCore {
             .expect("session outbox poisoned")
             .extend(out);
         timer.commit();
-    }
-
-    /// Batched-path phase 1 (encode): drains queued chunks through the
-    /// *encoder only*, packing completed windows into the shard plan.
-    /// Chunk bounds, swap barriers, failure handling, and accounting
-    /// mirror [`SessionCore::drain`] exactly — a staged hot-swap taken
-    /// here seals the current run (later windows are classified by the
-    /// staged model) and is *applied* by
-    /// [`SessionCore::scatter_batch`] at the same stream position, so
-    /// the postprocessor's `tr` changes where the per-frame path would
-    /// change it.
-    ///
-    /// Called only by the session's shard worker; `frames_processed` is
-    /// not advanced here (the scatter phase publishes it after the
-    /// events reach the outbox, preserving the flush invariant).
-    pub(crate) fn encode_backlog(&self, plan: &mut BatchPlan) -> SessionPending {
-        let mut pending = SessionPending::default();
-        if self.wedged.load(Ordering::Acquire) {
-            return pending;
-        }
-        let mut state = self.worker.lock().expect("session worker lock poisoned");
-        if self.done.load(Ordering::Relaxed) {
-            return pending;
-        }
-        // Committed only if the phase did work (mirrors drain()).
-        let timer = self.telemetry.stages.timer(Stage::Encode);
-        let base_processed = self.counters.cell.processed();
-        let mut frames_done: u64 = 0;
-        let mut aborted_tail: u64 = 0;
-        let mut items: Vec<PendingItem> = Vec::new();
-        let mut traced: Vec<TraceId> = Vec::new();
-        let newly_failed = if state.failed.is_none() {
-            let electrodes = self.electrodes;
-            let WorkerState {
-                detector, rx, am, ..
-            } = &mut *state;
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Option<String> {
-                    // The prototypes that classify windows from here
-                    // on: the worker's shared snapshot (== the
-                    // detector's AM) until a swap is taken, then the
-                    // staged model's. Runs open lazily on the first
-                    // window after a boundary.
-                    let mut staged: Option<Arc<laelaps_core::AssociativeMemory>> = None;
-                    let mut run: Option<usize> = None;
-                    for _ in 0..MAX_CHUNKS_PER_DRAIN {
-                        if let Some(request) = self.take_due_swap(base_processed + frames_done) {
-                            run = None; // seal: next window opens a new run
-                            staged = Some(Arc::new(request.model.am().clone()));
-                            items.push(PendingItem::Swap {
-                                at_frame: base_processed + frames_done,
-                                request,
-                            });
-                        }
-                        let Some(chunk) = rx.pop() else { break };
-                        self.telemetry
-                            .stages
-                            .record_since(Stage::RingWait, chunk.queued_at);
-                        let pop_us = chunk.trace.map(|t| {
-                            let tracer = &self.telemetry.tracer;
-                            let now = tracer.now_micros();
-                            tracer.record(
-                                t.id,
-                                Stage::RingWait,
-                                self.span_ctx(),
-                                t.start_us,
-                                now.saturating_sub(t.start_us),
-                            );
-                            now
-                        });
-                        let chunk_frames = (chunk.samples.len() / electrodes) as u64;
-                        aborted_tail = chunk_frames;
-                        let mut in_chunk: u64 = 0;
-                        for frame in chunk.samples.chunks_exact(electrodes) {
-                            match detector.encode_frame(frame) {
-                                Ok(Some(window)) => {
-                                    let run = *run.get_or_insert_with(|| {
-                                        plan.begin_run(Arc::clone(staged.as_ref().unwrap_or(am)))
-                                    });
-                                    let slot = plan.push_query(&window.vector);
-                                    items.push(PendingItem::Window {
-                                        run,
-                                        slot,
-                                        end_sample: window.end_sample,
-                                        trace: chunk.trace.map(|t| t.id),
-                                    });
-                                }
-                                Ok(None) => {}
-                                Err(e) => return Some(e.to_string()),
-                            }
-                            in_chunk += 1;
-                            frames_done += 1;
-                            aborted_tail = chunk_frames - in_chunk;
-                        }
-                        aborted_tail = 0;
-                        if let (Some(t), Some(pop_us)) = (chunk.trace, pop_us) {
-                            let tracer = &self.telemetry.tracer;
-                            let end = tracer.now_micros();
-                            tracer.record(
-                                t.id,
-                                Stage::Encode,
-                                self.span_ctx(),
-                                pop_us,
-                                end.saturating_sub(pop_us),
-                            );
-                            traced.push(t.id);
-                        }
-                    }
-                    None
-                }));
-            record_failure(&mut state, outcome)
-        } else {
-            false
-        };
-        let discarded = if state.failed.is_some() {
-            self.discard_after_failure(&mut state, aborted_tail)
-        } else {
-            0
-        };
-        pending.items = items;
-        pending.frames_done = frames_done;
-        pending.newly_failed = newly_failed;
-        pending.discarded = discarded;
-        pending.traced = traced;
-        let worked = frames_done > 0 || newly_failed || discarded > 0 || !pending.items.is_empty();
-        pending.encode_micros = if worked { timer.commit() } else { 0 };
-        pending
-    }
-
-    /// Batched-path phase 3 (scatter): replays this session's pending
-    /// items in stream order — classified windows through the
-    /// postprocessor, hot-swaps applied at their exact boundary — then
-    /// publishes outputs, latency, and `frames_processed` through the
-    /// same path as [`SessionCore::drain`]. Returns whether the session
-    /// did any work this pass.
-    pub(crate) fn scatter_batch(
-        &self,
-        pending: SessionPending,
-        plan: &BatchPlan,
-        bus: &Mutex<VecDeque<ServiceEvent>>,
-        classify_span: Option<(u64, u64)>,
-    ) -> bool {
-        let SessionPending {
-            items,
-            frames_done,
-            newly_failed: encode_failed,
-            discarded: encode_discarded,
-            encode_micros,
-            traced,
-        } = pending;
-        let mut state = self.worker.lock().expect("session worker lock poisoned");
-        let timer = self.telemetry.stages.timer(Stage::Scatter);
-        // The shard's one classify sweep serves every traced chunk of
-        // this pass; attribute it to each (same sharing as publish).
-        if let Some((start, dur)) = classify_span {
-            let ctx = self.span_ctx();
-            for id in &traced {
-                self.telemetry
-                    .tracer
-                    .record(*id, Stage::Classify, ctx, start, dur);
-            }
-        }
-        let scatter_start = if traced.is_empty() {
-            None
-        } else {
-            Some(self.telemetry.tracer.now_micros())
-        };
-        let mut out: Vec<SessionOutput> = Vec::with_capacity(items.len());
-        let mut windows: u64 = 0;
-        let scatter_failed = if items.is_empty() {
-            false
-        } else {
-            let WorkerState { detector, am, .. } = &mut *state;
-            // Same containment as the encode phase: a panic inside the
-            // postprocessor fails this session, not the shard thread.
-            // Items were all encoded before any failure, so they replay
-            // even if the encode phase failed afterwards — exactly the
-            // events the per-frame path would have published.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Option<String> {
-                    for item in &items {
-                        match item {
-                            PendingItem::Window {
-                                run,
-                                slot,
-                                end_sample,
-                                trace,
-                            } => {
-                                let classification = plan.result(*run, *slot);
-                                let event = detector.complete_window(*end_sample, classification);
-                                if event.alarm.is_some() {
-                                    if let Some(id) = trace {
-                                        self.telemetry.tracer.pin(*id, PinReason::Alarm);
-                                    }
-                                }
-                                out.push(SessionOutput::Event(event));
-                                windows += 1;
-                            }
-                            PendingItem::Swap { request, at_frame } => {
-                                if let Err(reason) =
-                                    self.apply_swap(detector, am, request, *at_frame, &mut out)
-                                {
-                                    return Some(reason);
-                                }
-                            }
-                        }
-                    }
-                    None
-                }));
-            record_failure(&mut state, outcome)
-        };
-        let discarded = if scatter_failed {
-            // Frames were already consumed from the ring by the encode
-            // phase; only latecomers remain to discard.
-            self.discard_after_failure(&mut state, 0)
-        } else {
-            0
-        };
-        if windows > 0 {
-            self.counters
-                .windows_batched
-                .fetch_add(windows, Ordering::Relaxed);
-        }
-        if let Some(start) = scatter_start {
-            let tracer = &self.telemetry.tracer;
-            let dur = tracer.now_micros().saturating_sub(start);
-            let ctx = self.span_ctx();
-            for id in &traced {
-                tracer.record(*id, Stage::Scatter, ctx, start, dur);
-            }
-        }
-        let worked = frames_done > 0
-            || encode_failed
-            || scatter_failed
-            || encode_discarded > 0
-            || discarded > 0
-            || !out.is_empty();
-        self.publish_traced(out, bus, &traced);
-        if worked {
-            self.counters.record_drain(
-                encode_micros.saturating_add(timer.commit()),
-                self.telemetry.drain_ticks.get(),
-            );
-            self.telemetry.record_frames(frames_done);
-            // Publish progress only after events reached the outbox, so a
-            // flush() that observes frames_processed == frames_in also
-            // observes every resulting event. Every encoded frame counts
-            // as processed even if the replay failed midway: those
-            // frames did run through the detector pipeline and already
-            // left the ring, so charging them here keeps
-            // `processed + discarded == frames_in` exact. (The per-frame
-            // path would have left the failing chunk's tail in the ring
-            // and counted it discarded — the split differs on this
-            // failed-session edge, the sum and flush-termination do
-            // not.)
-            self.counters.cell.record_processed(frames_done);
-            self.feed_session_obs(encode_discarded.saturating_add(discarded));
-        }
-        if state.rx.is_finished() {
-            self.done.store(true, Ordering::Release);
-        }
-        worked
     }
 
     /// Whether every accepted frame has been run through the detector
@@ -1279,7 +977,6 @@ mod tests {
             config,
             ring_depth: tx.depth_gauge(),
             worker: Mutex::new(WorkerState {
-                am: Arc::new(detector.am().clone()),
                 detector,
                 rx,
                 failed: None,
@@ -1348,7 +1045,6 @@ mod tests {
             config,
             ring_depth: tx.depth_gauge(),
             worker: Mutex::new(WorkerState {
-                am: Arc::new(detector.am().clone()),
                 detector,
                 rx,
                 failed: None,

@@ -25,7 +25,6 @@ pub(crate) struct SessionCounters {
     pub frames_refused: AtomicU64,
     pub events_out: AtomicU64,
     pub alarms_out: AtomicU64,
-    pub windows_batched: AtomicU64,
     pub drains: AtomicU64,
     pub max_drain_micros: AtomicU64,
 }
@@ -40,7 +39,6 @@ impl SessionCounters {
             frames_processed: self.cell.processed(),
             events_out: self.events_out.load(Ordering::Relaxed),
             alarms_out: self.alarms_out.load(Ordering::Relaxed),
-            windows_batched: self.windows_batched.load(Ordering::Relaxed),
             drains: self.drains.load(Ordering::Relaxed),
             max_drain_micros: self.max_drain_micros.load(Ordering::Relaxed),
             last_drain_tick: self.cell.last_drain_tick(),
@@ -77,10 +75,6 @@ pub struct SessionStats {
     pub events_out: u64,
     /// Alarms raised.
     pub alarms_out: u64,
-    /// Windows classified via the batched path (zero when the service
-    /// runs the per-frame path; equals the window count of `events_out`
-    /// when batching is on).
-    pub windows_batched: u64,
     /// Worker drain batches executed for this session.
     pub drains: u64,
     /// Worst-case wall time of one drain batch, microseconds — the
@@ -105,7 +99,6 @@ impl SessionStats {
         self.frames_processed += other.frames_processed;
         self.events_out += other.events_out;
         self.alarms_out += other.alarms_out;
-        self.windows_batched += other.windows_batched;
         self.drains += other.drains;
         self.max_drain_micros = self.max_drain_micros.max(other.max_drain_micros);
         self.last_drain_tick = self.last_drain_tick.max(other.last_drain_tick);
@@ -144,89 +137,6 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Models currently cached.
     pub cached_entries: usize,
-}
-
-/// Batch occupancy of one shard worker (see [`BatchingStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardBatchStats {
-    /// Shard index (matches [`SessionStatsEntry::shard`]).
-    pub shard: usize,
-    /// Classification passes that carried at least one query.
-    pub batches: u64,
-    /// Windows classified by this shard's batched passes.
-    pub queries: u64,
-    /// Most windows classified in a single pass.
-    pub max_queries: u64,
-}
-
-impl ShardBatchStats {
-    /// Mean queries per batch — the shard's batching efficiency (1.0
-    /// means the batched path degenerated to per-window dispatch).
-    pub fn mean_queries(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.queries as f64 / self.batches as f64
-        }
-    }
-}
-
-/// Occupancy counters of the batched classification path. All-zero (no
-/// shard rows, backend `"none"`) unless the service was configured with
-/// [`crate::BatchConfig`]; check [`BatchingStats::is_enabled`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchingStats {
-    /// Name of the configured [`laelaps_batch::ClassifyBackend`]
-    /// (`"none"` when the service runs the per-frame path).
-    pub backend: &'static str,
-    /// One row per shard worker, ordered by shard index (empty when the
-    /// service runs the per-frame path).
-    pub per_shard: Vec<ShardBatchStats>,
-}
-
-impl Default for BatchingStats {
-    fn default() -> Self {
-        BatchingStats {
-            backend: "none",
-            per_shard: Vec::new(),
-        }
-    }
-}
-
-impl BatchingStats {
-    /// Whether the service runs the batched hot path at all.
-    pub fn is_enabled(&self) -> bool {
-        !self.per_shard.is_empty()
-    }
-
-    /// Batches built across every shard.
-    pub fn batches(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.batches).sum()
-    }
-
-    /// Windows classified via the batched path across every shard.
-    pub fn queries(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.queries).sum()
-    }
-
-    /// Most windows classified in one pass on any shard.
-    pub fn max_queries(&self) -> u64 {
-        self.per_shard
-            .iter()
-            .map(|s| s.max_queries)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Service-wide mean queries per batch.
-    pub fn mean_queries(&self) -> f64 {
-        let batches = self.batches();
-        if batches == 0 {
-            0.0
-        } else {
-            self.queries() as f64 / batches as f64
-        }
-    }
 }
 
 /// Configuration of the per-session observability layer
@@ -460,7 +370,7 @@ impl ServiceTelemetry {
         }
     }
 
-    /// Point-in-time snapshot; `registry`/`adapt`/`batching`/`shards`
+    /// Point-in-time snapshot; `registry`/`adapt`/`shards`
     /// stay at their zero defaults for the caller to fill in.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let tracer = self.tracer.snapshot();
@@ -470,7 +380,6 @@ impl ServiceTelemetry {
             recent_frames_per_sec: self.frames.per_sec(),
             registry: RegistryStats::default(),
             adapt: AdaptStats::default(),
-            batching: BatchingStats::default(),
             shards: Vec::new(),
             trace: TraceStats {
                 enabled: tracer.enabled,
@@ -522,11 +431,11 @@ pub struct TraceStats {
 
 /// The service's full observability surface beyond raw session counters,
 /// folded into every [`ServiceStats`]: per-stage latency histograms, the
-/// recent drain rate, and the registry / adaptation / batching counters.
+/// recent drain rate, and the registry / adaptation counters.
 ///
 /// Sections whose subsystem is not in play carry their zero defaults
-/// (e.g. `adapt` on a service without an [`crate::AdaptationEngine`],
-/// `batching` on the per-frame path), so consumers always read one shape.
+/// (e.g. `adapt` on a service without an [`crate::AdaptationEngine`]),
+/// so consumers always read one shape.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Whether stage timing was on ([`crate::ServeConfig::telemetry`]);
@@ -547,9 +456,6 @@ pub struct TelemetrySnapshot {
     /// Adaptation-engine counters (zero unless attached via
     /// [`ServiceStats::with_adapt`]; `service_stats` attaches them).
     pub adapt: AdaptStats,
-    /// Batched-classification occupancy (zero rows when the service runs
-    /// the per-frame path).
-    pub batching: BatchingStats,
     /// Per-shard saturation gauges, ordered by shard index (one row per
     /// worker shard, present whenever the snapshot came from
     /// [`crate::DetectionService::stats`]).

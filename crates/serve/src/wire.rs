@@ -334,8 +334,8 @@ pub struct WireShard {
 /// renders, flattened from [`crate::ServiceStats`].
 ///
 /// Layout: `u32` sessions, `u32` retired, nine `u64` totals (frames in /
-/// processed / dropped / refused / discarded, events, alarms, windows
-/// batched, max drain µs), `f64` recent frames/s (IEEE-754 bits), `u8`
+/// processed / dropped / refused / discarded, events, alarms, reserved
+/// zero, max drain µs), `f64` recent frames/s (IEEE-754 bits), `u8`
 /// telemetry enabled, `u8` trace enabled, four `u64` tracer counters
 /// (minted / recorded / dropped / pinned), `u32` stage count + that many
 /// [`WireStage`] rows, `u32` shard count + that many [`WireShard`] rows.
@@ -359,8 +359,6 @@ pub struct WireStats {
     pub events_out: u64,
     /// Alarms raised.
     pub alarms_out: u64,
-    /// Windows classified via the batched path.
-    pub windows_batched: u64,
     /// Worst-case wall time of one drain batch, microseconds.
     pub max_drain_micros: u64,
     /// Frames drained per second over the trailing 5 s window.
@@ -398,7 +396,6 @@ impl WireStats {
             frames_discarded: t.frames_discarded,
             events_out: t.events_out,
             alarms_out: t.alarms_out,
-            windows_batched: t.windows_batched,
             max_drain_micros: t.max_drain_micros,
             recent_frames_per_sec: tel.recent_frames_per_sec,
             telemetry_enabled: tel.enabled,
@@ -443,7 +440,7 @@ impl WireStats {
             self.frames_discarded,
             self.events_out,
             self.alarms_out,
-            self.windows_batched,
+            RESERVED_SLOT,
             self.max_drain_micros,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
@@ -490,7 +487,7 @@ impl WireStats {
         let frames_discarded = cursor.u64()?;
         let events_out = cursor.u64()?;
         let alarms_out = cursor.u64()?;
-        let windows_batched = cursor.u64()?;
+        cursor.u64()?; // RESERVED_SLOT
         let max_drain_micros = cursor.u64()?;
         let recent_frames_per_sec = cursor.f64_bits()?;
         let telemetry_enabled = cursor.u8()? != 0;
@@ -541,7 +538,6 @@ impl WireStats {
             frames_discarded,
             events_out,
             alarms_out,
-            windows_batched,
             max_drain_micros,
             recent_frames_per_sec,
             telemetry_enabled,
@@ -555,6 +551,11 @@ impl WireStats {
         })
     }
 }
+
+/// The `u64` after `alarms_out` in [`WireStats`] and [`WireSessionRow`]:
+/// written as 0 and skipped on read, so v5 keeps its layout without the
+/// removed batched-window count.
+const RESERVED_SLOT: u64 = 0;
 
 /// One completed hot-path span on the wire — a fixed 40-byte record:
 /// `u64` trace id, `u8` stage discriminant, `u8` pin reason (0 =
@@ -811,7 +812,7 @@ impl WireHealth {
 /// Layout: `u64` session id, `u32` shard, `u64` model generation, `u32`
 /// patient length + UTF-8 patient bytes, twelve `u64` counters (frames
 /// in / dropped / refused / discarded / processed, events, alarms,
-/// windows batched, drains, max drain µs, last drain tick, EWMA drain
+/// reserved zero, drains, max drain µs, last drain tick, EWMA drain
 /// µs), three `u64` heavy-hitter scores (latency / saturation /
 /// discard).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -838,8 +839,6 @@ pub struct WireSessionRow {
     pub events_out: u64,
     /// Alarms raised.
     pub alarms_out: u64,
-    /// Windows classified via the batched path.
-    pub windows_batched: u64,
     /// Worker drain batches executed for this session.
     pub drains: u64,
     /// Worst-case wall time of one drain batch, microseconds.
@@ -872,7 +871,6 @@ impl WireSessionRow {
             frames_processed: s.frames_processed,
             events_out: s.events_out,
             alarms_out: s.alarms_out,
-            windows_batched: s.windows_batched,
             drains: s.drains,
             max_drain_micros: s.max_drain_micros,
             last_drain_tick: s.last_drain_tick,
@@ -896,7 +894,7 @@ impl WireSessionRow {
             self.frames_processed,
             self.events_out,
             self.alarms_out,
-            self.windows_batched,
+            RESERVED_SLOT,
             self.drains,
             self.max_drain_micros,
             self.last_drain_tick,
@@ -922,8 +920,10 @@ impl WireSessionRow {
             frames_processed: cursor.u64()?,
             events_out: cursor.u64()?,
             alarms_out: cursor.u64()?,
-            windows_batched: cursor.u64()?,
-            drains: cursor.u64()?,
+            drains: {
+                cursor.u64()?; // RESERVED_SLOT
+                cursor.u64()?
+            },
             max_drain_micros: cursor.u64()?,
             last_drain_tick: cursor.u64()?,
             ewma_drain_us: cursor.u64()?,
@@ -1587,7 +1587,6 @@ mod tests {
             frames_discarded: 89,
             events_out: 15,
             alarms_out: 1,
-            windows_batched: 15,
             max_drain_micros: 731,
             recent_frames_per_sec: 512.25,
             telemetry_enabled: true,
@@ -1686,7 +1685,6 @@ mod tests {
                     frames_processed: 3828,
                     events_out: 14,
                     alarms_out: 1,
-                    windows_batched: 14,
                     drains: 31,
                     max_drain_micros: 977,
                     last_drain_tick: 4_810,
@@ -1840,5 +1838,108 @@ mod tests {
                 chunk: Box::new([])
             })
         );
+    }
+
+    /// Lower-case hex of `bytes`, for compact byte-golden literals.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the v5 byte layout of `StatsSnapshot` and
+    /// `SessionStatsSnapshot`: header, every payload slot in order
+    /// (including the reserved, always-zero `u64` after `alarms_out`),
+    /// and the checksum. Fields left to `Default` encode as zero.
+    #[test]
+    fn introspection_snapshots_match_byte_golden() {
+        let stats = Message::StatsSnapshot {
+            stats: Box::new(WireStats {
+                sessions: 3,
+                retired_sessions: 1,
+                frames_in: 4096,
+                frames_processed: 4000,
+                frames_dropped: 5,
+                frames_discarded: 89,
+                events_out: 15,
+                alarms_out: 1,
+                max_drain_micros: 731,
+                recent_frames_per_sec: 512.25,
+                telemetry_enabled: true,
+                trace_enabled: true,
+                trace_minted: 4103,
+                trace_recorded: 16412,
+                trace_dropped: 2,
+                trace_pinned: 7,
+                stages: vec![WireStage {
+                    stage: 8,
+                    count: 100,
+                    sum: 5_000,
+                    max: 90,
+                    buckets: vec![(3, 10), (17, 90)],
+                }],
+                shards: vec![WireShard {
+                    shard: 1,
+                    sessions: 2,
+                    ring_depth_chunks: 5,
+                    in_flight_frames: 1280,
+                }],
+                ..Default::default()
+            }),
+        };
+        let sessions = Message::SessionStatsSnapshot {
+            sessions: Box::new(WireSessionStats {
+                enabled: true,
+                ticks: 4_811,
+                top: vec![WireSessionRow {
+                    session: 7,
+                    shard: 1,
+                    generation: 2,
+                    patient: "chb03".into(),
+                    frames_in: 4096,
+                    frames_dropped: 12,
+                    frames_discarded: 256,
+                    frames_processed: 3828,
+                    events_out: 14,
+                    alarms_out: 1,
+                    drains: 31,
+                    max_drain_micros: 977,
+                    last_drain_tick: 4_810,
+                    ewma_drain_us: 412,
+                    score_latency: 9_001,
+                    score_saturation: 77,
+                    score_discard: 256,
+                    ..Default::default()
+                }],
+                lookup: None,
+            }),
+        };
+        const STATS_GOLDEN: &str = concat!(
+            "4c570386c7000000", // header: magic, version 3, tag 0x86, payload length
+            "0300000001000000", // sessions, retired sessions
+            "0010000000000000a00f0000000000000500000000000000000000000000000059000000000000000f000000000000000100000000000000", // frames in/processed/dropped/refused/discarded, events, alarms
+            "0000000000000000", // reserved slot, always zero
+            "db02000000000000", // max drain µs
+            "0000000000028040", // recent frames/s (f64 bits)
+            "0101", // telemetry and trace enabled
+            "07100000000000001c4000000000000002000000000000000700000000000000", // trace minted/recorded/dropped/pinned
+            "0100000008640000000000000088130000000000005a000000000000000200000003000a0000000000000011005a00000000000000", // one stage row
+            "010000000100000002000000050000000005000000000000", // one shard row
+            "e895155be1dd4dbe", // FNV-1a checksum
+        );
+        const SESSIONS_GOLDEN: &str = concat!(
+            "4c570589a3000000", // header: magic, version 5, tag 0x89, payload length
+            "01cb1200000000000001000000", // enabled, ticks, one top row
+            "0700000000000000010000000200000000000000050000006368623033", // session, shard, generation, patient
+            "00100000000000000c0000000000000000000000000000000001000000000000f40e0000000000000e000000000000000100000000000000", // frames in/dropped/refused/discarded/processed, events, alarms
+            "0000000000000000", // reserved slot, always zero
+            "1f00000000000000d103000000000000ca120000000000009c01000000000000", // drains, max drain µs, last drain tick, EWMA
+            "29230000000000004d000000000000000001000000000000", // heavy-hitter scores
+            "00", // no lookup row
+            "3fdd8fd58f661962", // FNV-1a checksum
+        );
+        for (message, golden) in [(stats, STATS_GOLDEN), (sessions, SESSIONS_GOLDEN)] {
+            let bytes = encode_message(&message);
+            assert_eq!(hex(&bytes), golden);
+            assert_eq!(read_message(&mut bytes.as_slice()).unwrap(), Some(message));
+        }
     }
 }

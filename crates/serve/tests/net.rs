@@ -28,6 +28,15 @@ fn registry_with_models(tag: &str, patients: usize) -> (Arc<ModelRegistry>, Vec<
     (registry, ids)
 }
 
+/// Polls `done` every millisecond; panics with `what` after 60 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// The headline acceptance test: 16 concurrent TCP clients stream
 /// recordings through the ingest server; every client's event sequence
 /// must be identical to a bare `Detector` over the same frames, with
@@ -38,11 +47,19 @@ fn sixteen_tcp_clients_match_bare_detectors_with_backpressure() {
     let (registry, ids) = registry_with_models("parity", clients);
     // Small rings + fewer workers than clients: sustained pushes must hit
     // Full and surface as Throttle rather than drops.
+    let shards = 4;
     let service = Arc::new(DetectionService::new(ServeConfig {
-        workers: 4,
+        workers: shards,
         ring_chunks: 2,
         ..ServeConfig::default()
     }));
+    // Backpressure must not depend on 16 clients outrunning 4 workers:
+    // with every shard wedged no ring drains, so each connection fills
+    // its 2-chunk ring and is throttled. The shards resume once the
+    // server has throttled every client.
+    for shard in 0..shards {
+        service.debug_wedge_shard(shard, true);
+    }
     let server = IngestServer::bind("127.0.0.1:0", Arc::clone(&service), Arc::clone(&registry))
         .expect("server binds");
     let addr = server.local_addr();
@@ -63,10 +80,21 @@ fn sixteen_tcp_clients_match_bare_detectors_with_backpressure() {
                 for chunk in interleaved.chunks(256 * 4) {
                     client.send_chunk(chunk).expect("chunk sends");
                 }
+                // The server throttled this connection while the shards
+                // were wedged; wait for the message to arrive.
+                wait_until("client receives its Throttle", || {
+                    client.throttles_seen() >= 1
+                });
                 let throttles = client.throttles_seen();
                 let events = client.finish().expect("server drains and closes cleanly");
                 (events, throttles)
             }));
+        }
+        wait_until("server throttles every client", || {
+            server.throttles_sent() >= clients as u64
+        });
+        for shard in 0..shards {
+            service.debug_wedge_shard(shard, false);
         }
         let mut total_throttles = 0;
         for (i, worker) in workers.into_iter().enumerate() {

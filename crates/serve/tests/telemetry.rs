@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use common::{interleave, trained_model, two_state_signal};
 use laelaps_serve::{
-    BatchConfig, BlockedBackend, DetectionService, PushError, ServeConfig, SessionHandle, Stage,
-    TelemetryConfig,
+    DetectionService, PushError, ServeConfig, SessionHandle, SloRule, Stage, TelemetryConfig,
 };
 
 const CHUNK_FRAMES: usize = 256;
@@ -34,13 +33,10 @@ fn push_all(handle: &mut SessionHandle, interleaved: &[f32]) {
     }
 }
 
-fn config(batched: bool, telemetry: bool) -> ServeConfig {
+fn config(telemetry: bool) -> ServeConfig {
     ServeConfig {
         workers: 2,
         ring_chunks: 64,
-        batch: batched.then(|| BatchConfig {
-            backend: Arc::new(BlockedBackend),
-        }),
         telemetry: TelemetryConfig { enabled: telemetry },
         trace: laelaps_serve::TraceConfig::default(),
         health: laelaps_serve::HealthConfig::default(),
@@ -63,7 +59,7 @@ fn stream_one(config: ServeConfig) -> DetectionService {
 
 #[test]
 fn per_frame_path_populates_its_stages() {
-    let stats = stream_one(config(false, true)).stats();
+    let stats = stream_one(config(true)).stats();
     let telemetry = &stats.telemetry;
     assert!(telemetry.enabled);
 
@@ -75,7 +71,18 @@ fn per_frame_path_populates_its_stages() {
             stage.name()
         );
     }
-    // Batched-only and network/adaptation stages stay dark.
+    // Every stage a default SLO rule watches records on this path, so
+    // the default rules can fire.
+    for rule in SloRule::default_rules() {
+        if let SloRule::StageP99 { stage, .. } = rule {
+            assert!(
+                stages.get(stage).count > 0,
+                "default rule {} watches a stage the per-frame path never records",
+                rule.name()
+            );
+        }
+    }
+    // Unrecorded and network/adaptation stages stay dark.
     for stage in [
         Stage::WireDecode,
         Stage::RingEnqueue,
@@ -103,33 +110,8 @@ fn per_frame_path_populates_its_stages() {
 }
 
 #[test]
-fn batched_path_populates_batch_stages() {
-    let stats = stream_one(config(true, true)).stats();
-    assert!(stats.totals.windows_batched > 0);
-    let stages = &stats.telemetry.stages;
-    for stage in [
-        Stage::RingWait,
-        Stage::Encode,
-        Stage::Classify,
-        Stage::Scatter,
-        Stage::Publish,
-    ] {
-        assert!(
-            stages.get(stage).count > 0,
-            "{} records on the batched path",
-            stage.name()
-        );
-    }
-    assert!(
-        stages.get(Stage::Drain).is_empty(),
-        "the per-frame drain stage is idle when batching is on"
-    );
-    assert!(stats.telemetry.batching.is_enabled());
-}
-
-#[test]
 fn disabled_telemetry_stays_dark_but_detection_is_untouched() {
-    let stats = stream_one(config(true, false)).stats();
+    let stats = stream_one(config(false)).stats();
     let telemetry = &stats.telemetry;
     assert!(!telemetry.enabled);
     assert!(!telemetry.stages.enabled);
@@ -155,7 +137,7 @@ fn model_swap_charges_adapt_propagate() {
     let interleaved = interleave(&signal);
     let half = interleaved.len() / 2 / 4 * 4;
 
-    let service = DetectionService::new(config(false, true));
+    let service = DetectionService::new(config(true));
     let mut handle = service.open_session("S0", &model).unwrap();
     push_all(&mut handle, &interleaved[..half]);
     service.flush();
@@ -193,7 +175,7 @@ fn concurrent_snapshots_stay_consistent() {
         })
         .collect();
 
-    let service = DetectionService::new(config(true, true));
+    let service = DetectionService::new(config(true));
     let handles: Vec<_> = models
         .iter()
         .enumerate()

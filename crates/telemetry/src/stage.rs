@@ -7,12 +7,15 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use crate::TelemetryConfig;
 
 /// A hot-path stage of the serving pipeline, end to end: wire decode →
-/// ring enqueue → ring wait → drain (encode → classify → scatter on the
-/// batched path) → outbox publish, plus the adaptation loop's retrain
-/// and feedback→hot-swap propagation.
+/// ring enqueue → ring wait → drain → outbox publish, plus the
+/// adaptation loop's retrain and feedback→hot-swap propagation.
 ///
 /// Each stage owns one latency [`Histogram`] (microseconds) in a
-/// [`StageSet`].
+/// [`StageSet`]. [`Stage::Encode`], [`Stage::Classify`] and
+/// [`Stage::Scatter`] are not recorded: the drain runs them fused per
+/// frame and times them as one [`Stage::Drain`]. They keep their slots
+/// because the discriminants are wire values and index the health
+/// series rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -25,15 +28,14 @@ pub enum Stage {
     /// Time a chunk sat in its session ring between enqueue and the
     /// worker popping it — the queueing component of service latency.
     RingWait,
-    /// One session's full drain pass (per-frame path: encode + classify
-    /// + postprocess fused; batched path: encode + scatter phases).
+    /// One session's full drain pass: encode + classify + postprocess,
+    /// fused per frame.
     Drain,
-    /// Batched-path encode phase, per session per pass.
+    /// HD encode. Not recorded; reserved slot.
     Encode,
-    /// Batched-path classify sweep, per shard pass (all runs, one
-    /// backend invocation over the whole plan).
+    /// AM classify. Not recorded; reserved slot.
     Classify,
-    /// Batched-path scatter phase, per session per pass.
+    /// Classification scatter. Not recorded; reserved slot.
     Scatter,
     /// Publishing a pass's outputs: outbox append + service-bus fan-out.
     Publish,
