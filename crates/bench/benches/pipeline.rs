@@ -1,6 +1,7 @@
 //! End-to-end classification-event benchmarks: the Laelaps encoder across
 //! electrode counts (the paper's "almost constant in electrodes" claim,
-//! Table II), LBP length ℓ sweep, and tie-policy ablation.
+//! Table II), the deployed 12-electrode shape at both dimensions, LBP
+//! length ℓ sweep, and tie-policy ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use laelaps_core::hv::TiePolicy;
@@ -38,6 +39,25 @@ fn bench_event_vs_electrodes(c: &mut Criterion) {
                 });
             },
         );
+    }
+    group.finish();
+}
+
+/// The deployed shape: 12 electrodes, as in every benchmark workload, at
+/// the deploy and golden dimensions.
+fn bench_event_deploy_shape(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encode_event_12_electrodes");
+    group.sample_size(10);
+    for &dim in &[laelaps_core::DEPLOY_DIM, laelaps_core::GOLDEN_DIM] {
+        let config = LaelapsConfig::builder().dim(dim).seed(8).build().unwrap();
+        let sig = signal(12, 512 * 3, 9);
+        group.throughput(Throughput::Elements(256));
+        group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bench, _| {
+            bench.iter(|| {
+                let mut enc = Encoder::new(&config, 12).unwrap();
+                black_box(enc.encode_signal(black_box(&sig)).unwrap().len())
+            });
+        });
     }
     group.finish();
 }
@@ -107,6 +127,7 @@ fn bench_tie_policy(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_vs_electrodes,
+    bench_event_deploy_shape,
     bench_dim_sweep,
     bench_lbp_len_sweep,
     bench_tie_policy

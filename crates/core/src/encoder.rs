@@ -12,10 +12,52 @@
 //! previous one, thresholded at half of the full 1 s window, and emitted as
 //! the **temporal histogram vector** `H` — a holographic representation of
 //! the LBP-code histogram across all electrodes for the last second.
+//!
+//! # The fused kernel
+//!
+//! Steps 2 and 3 run as one kernel per frame (`hv/bundle.rs`). It never
+//! materialises `S` and allocates nothing per frame; the only allocation
+//! is the `H` it returns at each hop:
+//!
+//! * **Spatial step.** The dimension is walked one register at a time: 8
+//!   limbs (512 bits) under AVX-512, 4 under AVX2, one `u64` otherwise.
+//!   For each register the `n` bound rows `E_j ⊕ C(code_j)` are added into
+//!   `K = bits(n)` counter bit-planes held in registers — two electrodes at
+//!   a time through a full adder into plane 0, whose carry ripples up. The
+//!   planes are compared with `n/2 + 1` by the constant-addend carry chain
+//!   (`count + 2^K − t` carries out of `K` bits iff `count ≥ t`).
+//! * **Tie rule.** Under [`TiePolicy::ZeroOnTie`], and for odd `n`, a bit is
+//!   set iff `count ≥ n/2 + 1`. Under [`TiePolicy::TieBreakVector`] with
+//!   even `n`, the planes are also compared with `n/2`, and an exact tie
+//!   takes the tie-break vector's bit:
+//!   `S = (≥ n/2+1) | (tie & ≥ n/2)`.
+//! * **Temporal step.** The register of spatial bits is ripple-added
+//!   straight into the current half window's counters ([`HalfWindows`]):
+//!   one flat, plane-major buffer of `bits(hop)` planes (plane `k` of limb
+//!   `i` at `k · limbs + i`). The previous half is a second buffer of the
+//!   same shape; at each hop `H = prev + cur > window/2` is computed by a
+//!   plane adder feeding the same kind of comparator, the tail bits are
+//!   masked, and the buffers swap.
+//! * **Tiers.** [`Tier::detect`] picks the widest register the CPU has once,
+//!   when the encoder is built, together with the plane count `K` (a const
+//!   generic, so the planes stay in registers). The tiers share one kernel
+//!   and differ only in register width; every tier is property-tested
+//!   against [`DenseAccumulator`](crate::hv::DenseAccumulator).
+//! * **Item memories in place.** The kernel reads each row straight from
+//!   [`ItemMemory`] (`get(j).limbs()`). A flattened copy of the tables
+//!   would duplicate IM1 and IM2 in every session — they are most of a
+//!   session's state — while the kernel already reads each row
+//!   sequentially, one register at a time.
+//!
+//! [`SpatialEncoder::encode`] runs the same kernel and writes `S` out
+//! instead of accumulating it.
 
 use crate::config::LaelapsConfig;
 use crate::error::{LaelapsError, Result};
-use crate::hv::{BitSliceAccumulator, Hypervector, ItemMemory, TiePolicy};
+use crate::hv::{
+    limbs_for, tie_limbs, Bound, HalfWindows, Hypervector, ItemMemory, SpatialKernel, TiePolicy,
+    Tier,
+};
 use crate::lbp::{LbpCode, LbpExtractor};
 
 use rand::rngs::StdRng;
@@ -30,16 +72,17 @@ const TIE_SEED_OFFSET: u64 = 0x71E_B17;
 /// Stateless spatial encoder: maps one LBP code per electrode to the
 /// spatial record `S`.
 ///
-/// Owns the two item memories (IM1: codes, IM2: electrodes). Reused by the
+/// Owns the two item memories (IM1: codes, IM2: electrodes) and the fused
+/// kernel instance picked for this CPU and electrode count. Reused by the
 /// streaming [`Encoder`] and exposed separately for the GPU-simulator
 /// cross-checks and for batch experiments.
 #[derive(Debug, Clone)]
 pub struct SpatialEncoder {
     im_codes: ItemMemory,
     im_electrodes: ItemMemory,
-    tie: Hypervector,
-    tie_policy: TiePolicy,
-    acc: BitSliceAccumulator,
+    /// The tie-break vector; drawn only under [`TiePolicy::TieBreakVector`].
+    tie: Option<Hypervector>,
+    kernel: SpatialKernel,
 }
 
 impl SpatialEncoder {
@@ -65,14 +108,15 @@ impl SpatialEncoder {
             config.dim,
             config.seed.wrapping_add(IM2_SEED_OFFSET),
         );
-        let mut tie_rng = StdRng::seed_from_u64(config.seed.wrapping_add(TIE_SEED_OFFSET));
-        let tie = Hypervector::random(config.dim, &mut tie_rng);
+        let tie = (config.tie_policy == TiePolicy::TieBreakVector).then(|| {
+            let mut tie_rng = StdRng::seed_from_u64(config.seed.wrapping_add(TIE_SEED_OFFSET));
+            Hypervector::random(config.dim, &mut tie_rng)
+        });
         Ok(SpatialEncoder {
             im_codes,
             im_electrodes,
             tie,
-            tie_policy: config.tie_policy,
-            acc: BitSliceAccumulator::new(config.dim),
+            kernel: SpatialKernel::new(Tier::detect(), electrodes),
         })
     }
 
@@ -108,12 +152,36 @@ impl SpatialEncoder {
             self.im_electrodes.len(),
             "one LBP code per electrode required"
         );
-        self.acc.clear();
-        for (j, &code) in codes.iter().enumerate() {
-            self.acc
-                .add_xor(self.im_electrodes.get(j), self.im_codes.get(code as usize));
+        let n = limbs_for(self.dim());
+        // A plain allocation filled in place: for these few-hundred-byte
+        // blocks it costs about half of the zeroed allocation (calloc) that
+        // `vec![0; n]` and `Hypervector::zero` ask for.
+        #[allow(clippy::slow_vector_initialization)]
+        let mut limbs = {
+            let mut limbs = Vec::with_capacity(n);
+            limbs.resize(n, 0);
+            limbs
+        };
+        self.kernel.write(&self.bound(codes), &mut limbs);
+        Hypervector::from_limbs(self.dim(), limbs).expect("the kernel keeps padding bits zero")
+    }
+
+    /// Bundles one spatial record straight into the current half window,
+    /// without materialising it: the streaming encoder's per-frame step.
+    fn bundle_into(&self, codes: &[LbpCode], half: &mut HalfWindows) {
+        self.kernel.accumulate(&self.bound(codes), half);
+    }
+
+    fn bound<'a>(&'a self, codes: &'a [LbpCode]) -> Bound<'a> {
+        Bound {
+            electrodes: &self.im_electrodes,
+            symbols: &self.im_codes,
+            codes,
+            tie: self
+                .tie
+                .as_ref()
+                .and_then(|tie| tie_limbs(TiePolicy::TieBreakVector, codes.len(), tie)),
         }
-        self.acc.majority_with(self.tie_policy, &self.tie)
     }
 }
 
@@ -153,9 +221,7 @@ pub struct Encoder {
     spatial: SpatialEncoder,
     extractors: Vec<LbpExtractor>,
     codes: Vec<LbpCode>,
-    half: BitSliceAccumulator,
-    prev_half: Option<Vec<u32>>,
-    samples_in_half: usize,
+    half: HalfWindows,
     hop: usize,
     window: usize,
     samples_seen: u64,
@@ -178,9 +244,7 @@ impl Encoder {
                 .map(|_| LbpExtractor::new(config.lbp_len))
                 .collect(),
             codes: vec![0; electrodes],
-            half: BitSliceAccumulator::new(config.dim),
-            prev_half: None,
-            samples_in_half: 0,
+            half: HalfWindows::new(config.dim, config.hop_samples),
             hop: config.hop_samples,
             window: config.window_samples,
             samples_seen: 0,
@@ -240,37 +304,21 @@ impl Encoder {
             // All extractors warm up simultaneously; nothing to encode yet.
             return Ok(None);
         }
-        let s = self.spatial.encode(&self.codes);
-        self.half.add(&s);
-        self.samples_in_half += 1;
-        if self.samples_in_half < self.hop {
+        self.spatial.bundle_into(&self.codes, &mut self.half);
+        if self.half.len() < self.hop {
             return Ok(None);
         }
-        // Half-window boundary: combine with the previous half to form H.
-        let counts = self.half.to_counts();
-        self.half.clear();
-        self.samples_in_half = 0;
-        let out = match self.prev_half.take() {
-            Some(prev) => {
-                let mut h = Hypervector::zero(self.spatial.dim());
-                let threshold = (self.window / 2) as u32;
-                for (i, (&a, &b)) in prev.iter().zip(counts.iter()).enumerate() {
-                    // Majority over the full window, ties to 0: count > N/2.
-                    if a + b > threshold {
-                        h.set(i, true);
-                    }
-                }
-                let wv = WindowVector {
-                    vector: h,
-                    end_sample: self.samples_seen - 1,
-                    index: self.windows_emitted,
-                };
-                self.windows_emitted += 1;
-                Some(wv)
-            }
-            None => None,
-        };
-        self.prev_half = Some(counts);
+        // Half-window boundary: combine with the previous half to form H,
+        // a majority over the full window with ties to 0.
+        let out = self.half.end_half(self.window).map(|vector| {
+            let wv = WindowVector {
+                vector,
+                end_sample: self.samples_seen - 1,
+                index: self.windows_emitted,
+            };
+            self.windows_emitted += 1;
+            wv
+        });
         Ok(out)
     }
 
@@ -317,8 +365,6 @@ impl Encoder {
             ex.reset();
         }
         self.half.clear();
-        self.prev_half = None;
-        self.samples_in_half = 0;
         self.samples_seen = 0;
         self.windows_emitted = 0;
     }
@@ -327,6 +373,7 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hv::DenseAccumulator;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -466,6 +513,73 @@ mod tests {
         assert!(sa.similarity(&sb) < 0.95);
         let sa2 = sp.encode(&codes_a);
         assert_eq!(sa, sa2, "spatial encoding must be deterministic");
+    }
+
+    #[test]
+    fn fused_push_frame_matches_the_dense_reference() {
+        // The unfused composition the kernel replaces: S as a dense
+        // majority, summed per half window in dense counters, and
+        // H = prev + cur > window/2 at every hop.
+        let dim = 300;
+        for (electrodes, policy) in [
+            (1, TiePolicy::ZeroOnTie),
+            (4, TiePolicy::TieBreakVector),
+            (12, TiePolicy::ZeroOnTie),
+            (12, TiePolicy::TieBreakVector),
+            (13, TiePolicy::TieBreakVector),
+        ] {
+            let config = LaelapsConfig::builder()
+                .dim(dim)
+                .seed(11)
+                .tie_policy(policy)
+                .build()
+                .unwrap();
+            let len = config.hop_samples * 5 + 20;
+            let signal = random_signal(electrodes, len, electrodes as u64);
+            let fused = Encoder::new(&config, electrodes)
+                .unwrap()
+                .encode_signal(&signal)
+                .unwrap();
+
+            let sp = SpatialEncoder::new(&config, electrodes).unwrap();
+            let tie = sp.tie.clone().unwrap_or_else(|| Hypervector::zero(dim));
+            let mut extractors: Vec<LbpExtractor> = (0..electrodes)
+                .map(|_| LbpExtractor::new(config.lbp_len))
+                .collect();
+            let mut prev: Option<DenseAccumulator> = None;
+            let mut cur = DenseAccumulator::new(dim);
+            let mut want = Vec::new();
+            for t in 0..len {
+                let codes: Vec<Option<LbpCode>> = extractors
+                    .iter_mut()
+                    .zip(&signal)
+                    .map(|(ex, ch)| ex.push(ch[t]))
+                    .collect();
+                let Some(codes) = codes.into_iter().collect::<Option<Vec<_>>>() else {
+                    continue;
+                };
+                let mut s = DenseAccumulator::new(dim);
+                for (j, &c) in codes.iter().enumerate() {
+                    s.add_xor(
+                        sp.electrode_memory().get(j),
+                        sp.code_memory().get(c as usize),
+                    );
+                }
+                cur.add(&s.majority_with(policy, &tie));
+                if cur.len() as usize == config.hop_samples {
+                    let half = std::mem::replace(&mut cur, DenseAccumulator::new(dim));
+                    if let Some(mut both) = prev.replace(half.clone()) {
+                        both.merge(&half);
+                        want.push((both.threshold(config.window_samples as u32 / 2 + 1), t));
+                    }
+                }
+            }
+            assert_eq!(fused.len(), want.len());
+            for (w, (vector, end)) in fused.iter().zip(&want) {
+                assert_eq!(&w.vector, vector, "n={electrodes} {policy:?}");
+                assert_eq!(w.end_sample, *end as u64);
+            }
+        }
     }
 
     #[test]

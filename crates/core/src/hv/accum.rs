@@ -8,9 +8,13 @@
 //!   reference implementation.
 //! * [`BitSliceAccumulator`] — counters stored as *bit-planes* so that adding
 //!   a hypervector is a ripple-carry add over whole limbs (64 components per
-//!   instruction). This is the hot path of the Laelaps encoder, where the
-//!   spatial record bundles up to 128 electrode vectors per sample and the
-//!   temporal histogram bundles 512 spatial records per window.
+//!   instruction), and thresholding is a carry chain over the planes.
+//!
+//! Both are reference oracles for any bundle of any length. The streaming
+//! encoder does not use them: its per-frame path is the fused kernel in
+//! `bundle.rs` ([`HalfWindows`](super::HalfWindows) and the spatial step
+//! behind [`SpatialEncoder`](crate::SpatialEncoder)), which is
+//! property-tested against [`DenseAccumulator`].
 //!
 //! Both implement the paper's majority rule: the output bit is 0 when half
 //! or more of the bundled arguments are 0, and 1 otherwise (ties go to 0).
@@ -213,7 +217,9 @@ impl DenseAccumulator {
 /// operations instead of `O(d)` scalar operations.
 ///
 /// This is the same computation as [`DenseAccumulator`] (property-tested to
-/// agree bit-for-bit) and is used by the streaming encoder.
+/// agree bit-for-bit): a reference oracle for bit-sliced bundling, and the
+/// bundle the GPU simulator's dense reference builds on. The streaming
+/// encoder runs the fused kernel instead.
 #[derive(Debug, Clone)]
 pub struct BitSliceAccumulator {
     planes: Vec<Vec<u64>>,

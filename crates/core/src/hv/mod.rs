@@ -6,6 +6,12 @@
 //! [`BitSliceAccumulator`], and seeded [`ItemMemory`] tables of atomic
 //! vectors.
 //!
+//! The streaming encoder bundles with a fused, SIMD-dispatched kernel
+//! instead (see [`crate::encoder`]): it reads the item-memory rows in
+//! place and adds each frame's spatial majority straight into bit-sliced
+//! [`HalfWindows`], at the register width [`Tier::detect`] picks. The two
+//! accumulators above are its reference oracles.
+//!
 //! # Examples
 //!
 //! Binding and bundling, end to end:
@@ -26,9 +32,14 @@
 //! ```
 
 mod accum;
+mod bundle;
 mod item_memory;
 mod vector;
 
 pub use accum::{BitSliceAccumulator, DenseAccumulator, TiePolicy};
+#[doc(hidden)]
+pub use bundle::spatial_majority_at;
+pub(crate) use bundle::{tie_limbs, Bound, SpatialKernel};
+pub use bundle::{HalfWindows, Tier};
 pub use item_memory::ItemMemory;
 pub use vector::{limbs_for, Hypervector, LIMB_BITS};

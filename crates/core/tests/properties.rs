@@ -1,7 +1,8 @@
 //! Property-based tests for the HD-computing and LBP invariants.
 
 use laelaps_core::hv::{
-    limbs_for, BitSliceAccumulator, DenseAccumulator, Hypervector, ItemMemory, TiePolicy, LIMB_BITS,
+    limbs_for, spatial_majority_at, BitSliceAccumulator, DenseAccumulator, HalfWindows,
+    Hypervector, ItemMemory, TiePolicy, Tier, LIMB_BITS,
 };
 use laelaps_core::lbp::{lbp_codes, lbp_histogram, LbpExtractor};
 use proptest::prelude::*;
@@ -28,8 +29,74 @@ fn arb_ragged_dim() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Dimensions around the kernel's register edges (1, 4 and 8 limbs) and
+/// the paper's two.
+fn arb_kernel_dim() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(63),
+        Just(64),
+        Just(65),
+        Just(255),
+        Just(257),
+        Just(1000),
+        Just(10_000)
+    ]
+}
+
+/// Electrode counts 1–128, plus one above 255 (nine counter planes).
+fn arb_electrodes() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=128, 1usize..=128, 1usize..=128, Just(300usize)]
+}
+
+/// Whether every bit above `v.dim()` in the last limb is clear.
+fn padding_is_zero(v: &Hypervector) -> bool {
+    let rem = v.dim() % LIMB_BITS;
+    rem == 0 || v.limbs()[v.limbs().len() - 1] >> rem == 0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_kernel_matches_dense_at_every_tier(
+        dim in arb_kernel_dim(),
+        electrodes in arb_electrodes(),
+        lbp_len in 1usize..=8,
+        seed in any::<u64>()
+    ) {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let symbols = ItemMemory::new(1 << lbp_len, dim, seed);
+        let rows = ItemMemory::new(electrodes, dim, seed ^ 1);
+        let tie = Hypervector::random(dim, &mut rng);
+        let codes: Vec<u8> = (0..electrodes)
+            .map(|_| rand::Rng::gen_range(&mut rng, 0..1usize << lbp_len) as u8)
+            .collect();
+        let mut dense = DenseAccumulator::new(dim);
+        for (j, &c) in codes.iter().enumerate() {
+            dense.add_xor(rows.get(j), symbols.get(c as usize));
+        }
+        let n = electrodes as u32;
+        let strict = dense.threshold(n / 2 + 1);
+        for policy in [TiePolicy::ZeroOnTie, TiePolicy::TieBreakVector] {
+            let want = dense.majority_with(policy, &tie);
+            // The same rule spelled with thresholds: ties exist only for
+            // even n, and only the tie-break vector fills them.
+            if policy == TiePolicy::TieBreakVector && n.is_multiple_of(2) {
+                let ties = dense.threshold(n / 2).xor(&strict);
+                for i in 0..dim {
+                    prop_assert_eq!(want.get(i), strict.get(i) || (ties.get(i) && tie.get(i)));
+                }
+            } else {
+                prop_assert_eq!(&want, &strict);
+            }
+            for tier in Tier::available() {
+                let got = spatial_majority_at(tier, &rows, &symbols, &codes, policy, &tie);
+                prop_assert!(padding_is_zero(&got), "{:?}: padding bits set", tier);
+                prop_assert_eq!(&got, &want, "{:?} n={} d={} {:?}", tier, n, dim, policy);
+            }
+        }
+    }
 
     #[test]
     fn xor_involution(dim in arb_dim(), seed in any::<u64>()) {
@@ -233,5 +300,42 @@ proptest! {
             prop_assert_eq!(a.get(i), b.get(i));
         }
         prop_assert_eq!(a.storage_bits(), len * dim);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hop_boundary_matches_dense_window_sum(
+        dim in arb_kernel_dim(),
+        hop in prop_oneof![1usize..=40, Just(256usize)],
+        halves in 2usize..=4,
+        seed in any::<u64>()
+    ) {
+        // H = prev + cur > window/2 with window = 2·hop, as the encoder
+        // configures it, against dense counts of the same vectors.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let mut half = HalfWindows::new(dim, hop);
+        let mut prev: Option<DenseAccumulator> = None;
+        for _ in 0..halves {
+            let mut cur = DenseAccumulator::new(dim);
+            for _ in 0..hop {
+                let v = Hypervector::random(dim, &mut rng);
+                half.add(&v);
+                cur.add(&v);
+            }
+            let got = half.end_half(2 * hop);
+            match prev {
+                None => prop_assert!(got.is_none()),
+                Some(mut both) => {
+                    both.merge(&cur);
+                    let got = got.expect("a previous half exists");
+                    prop_assert!(padding_is_zero(&got));
+                    prop_assert_eq!(got, both.threshold(hop as u32 + 1));
+                }
+            }
+            prev = Some(cur);
+        }
     }
 }

@@ -12,10 +12,10 @@
 //! All replays must agree with each other before they are compared with
 //! the golden file.
 //!
-//! On a mismatch the actual rendering is written next to the system temp
-//! directory's other files and its path is printed; after a deliberate
-//! change in detector behaviour, review that file and copy it over the
-//! golden one.
+//! On a mismatch the actual rendering is written to
+//! `detector_events.actual.txt` in the system temp directory and its path
+//! is printed; after a deliberate change in detector behaviour, review
+//! that file and copy it over the golden one.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
