@@ -226,7 +226,7 @@ pub struct BitSliceAccumulator {
     dim: usize,
     limbs: usize,
     added: u32,
-    /// Reusable carry buffer so the per-sample hot path never allocates.
+    /// Reusable carry buffer, so adding a vector never allocates.
     scratch: Vec<u64>,
 }
 
@@ -279,8 +279,8 @@ impl BitSliceAccumulator {
         self.added += 1;
     }
 
-    /// Adds the binding `a ⊕ b` without materializing it. This is the inner
-    /// loop of the spatial encoder (`E_j ⊕ C_{i(j)}` per electrode).
+    /// Adds the binding `a ⊕ b` without materializing it: one term
+    /// `E_j ⊕ C_{i(j)}` of the spatial record.
     ///
     /// # Panics
     ///
